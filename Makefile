@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; `make check` is the one command CI
 # and contributors run before pushing.
 
-.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos serve-smoke chaos-smoke chaos-shard-smoke loadgen-smoke journal-smoke shard-smoke flow-smoke fmt check clean
+.PHONY: all build test bench bench-smoke bench-flow bench-serve bench-journal bench-loadgen bench-shard bench-chaos ledger ledger-self-test serve-smoke chaos-smoke chaos-shard-smoke loadgen-smoke journal-smoke shard-smoke flow-smoke fmt check clean
 
 all: build
 
@@ -56,14 +56,15 @@ shard-smoke:
 
 # Flow-solver pin: the cram test test/cli/flow.t lists the solver
 # registry, checks backend parity of MCF-LTC under --mcf-solver
-# (sspa/spfa/incremental) and exercises the --mcf-budget-rounds anytime
-# cutoff with its degraded telemetry.  Also in @runtest.
+# (sspa/incremental), rejects unknown backends and exercises the
+# --mcf-budget-rounds anytime cutoff with its degraded telemetry.  Also
+# in @runtest.
 flow-smoke:
 	dune build @flow-smoke
 
 # Min-cost-flow hot path: cold per-batch solves vs the reused
-# arena/workspace with DAG-layer and warm-started potentials.  Refreshes
-# the committed BENCH_flow_batch.json snapshot.
+# arena/workspace with DAG-layer potentials vs the incremental session.
+# Refreshes the committed BENCH_flow_batch.json snapshot.
 bench-flow:
 	dune exec bench/main.exe -- flow-batch-reuse --json BENCH_flow_batch.json
 
@@ -94,6 +95,21 @@ bench-chaos:
 # Refreshes the committed BENCH_serve_shard.json snapshot.
 bench-shard:
 	dune exec bench/main.exe -- serve-shard --json BENCH_serve_shard.json
+
+# The end-to-end arrival-ledger benchmark declared in BENCHMARK.json
+# (ledger/README.md): one run per workload with the declared command.
+# Each run takes about a minute; the ledger's correctness gate fails the
+# target on a wrong decision stream.
+LEDGER_WORKLOADS = serve-journaled batch-mcf
+
+ledger:
+	for w in $(LEDGER_WORKLOADS); do \
+	  python3 ledger/run.py --workload $$w --seed 1 --seconds 7 || exit 1; \
+	done
+
+# The ledger's own check: tampered decision streams must be caught.
+ledger-self-test:
+	python3 ledger/run.py --self-test
 
 fmt:
 	dune build @fmt --auto-promote

@@ -91,8 +91,6 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
      cold         fresh graph + fresh workspace + Bellman-Ford per batch
                   (the pre-arena behaviour)
      reuse-dag    one arena + one workspace, [`Dag_topo] potentials
-     reuse-warm   as reuse-dag, plus warm-started potentials from the
-                  previous batch's finals
      incremental  one {!Ltc_flow.Solver} session: the task plane, its
                   residuals and potentials stay alive across batches; each
                   batch stacks its workers and links on top, resolves with
@@ -104,8 +102,8 @@ let run_figure ~jobs ~scale ~reps ~seed ~csv ~plot (e : Figures.t) =
    dominates the tiny flow) and a ~100x batch (800 workers/batch, where
    the solve dominates).  All variants solve problem-identical networks;
    the checksum asserts they agree (exactly for reuse-dag, within float
-   tolerance for warm starts and the incremental session, whose different
-   node layouts may resolve sub-epsilon ties differently). *)
+   tolerance for the incremental session, whose different node layout may
+   resolve sub-epsilon ties differently). *)
 let flow_batch_id = "flow-batch-reuse"
 
 type flow_shape_stat = {
@@ -115,7 +113,6 @@ type flow_shape_stat = {
   fb_flow : int;
   fb_cold_s : float;
   fb_dag_s : float;
-  fb_warm_s : float;
   fb_inc_s : float;
   fb_checksum_ok : bool;
 }
@@ -160,31 +157,18 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     done;
     (!flow, !cost)
   in
-  let reused ~init ~after () =
+  let reuse_dag () =
     let g = Ltc_flow.Graph.create ~n:1 in
     let ws = Ltc_flow.Mcmf.create_workspace () in
     let flow = ref 0 and cost = ref 0.0 in
     for b = 0 to batches - 1 do
       Ltc_flow.Graph.clear g ~n:nodes;
       build g b;
-      let r = Ltc_flow.Mcmf.run g ~workspace:ws ~init:(init b) ~source ~sink in
-      after ws;
+      let r = Ltc_flow.Mcmf.run g ~workspace:ws ~init:`Dag_topo ~source ~sink in
       flow := !flow + r.Ltc_flow.Mcmf.flow;
       cost := !cost +. r.Ltc_flow.Mcmf.cost
     done;
     (!flow, !cost)
-  in
-  let reuse_dag =
-    reused ~init:(fun _ -> `Dag_topo) ~after:(fun _ -> ())
-  in
-  let reuse_warm =
-    let warm = Array.make nodes 0.0 in
-    let have = ref false in
-    reused
-      ~init:(fun _ -> if !have then `Warm_start warm else `Dag_topo)
-      ~after:(fun ws ->
-        Array.blit (Ltc_flow.Mcmf.borrow_potentials ws) 0 warm 0 nodes;
-        have := true)
   in
   let incremental () =
     let sol = Ltc_flow.Solver.create ~hint:(n_tasks + 2) "incremental" in
@@ -247,13 +231,10 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
   in
   let (cold_flow, cold_cost), cold_s = time_variant cold in
   let (dag_flow, dag_cost), dag_s = time_variant reuse_dag in
-  let (warm_flow, warm_cost), warm_s = time_variant reuse_warm in
   let (inc_flow, inc_cost), inc_s = time_variant incremental in
   let checksum_ok =
     dag_flow = cold_flow
     && dag_cost = cold_cost (* `Dag_topo is bit-identical to Bellman-Ford *)
-    && warm_flow = cold_flow
-    && Float.abs (warm_cost -. cold_cost) < 1e-6
     && inc_flow = cold_flow
     && Float.abs (inc_cost -. cold_cost) < 1e-6
   in
@@ -275,7 +256,6 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     ~header:[ "variant"; "time/pass (ms)"; "speedup vs cold" ]
     [ row "cold (fresh + Bellman-Ford)" cold_s;
       row "reused arena + `Dag_topo" dag_s;
-      row "reused arena + warm start" warm_s;
       row "incremental session" inc_s ];
   print_newline ();
   {
@@ -285,7 +265,6 @@ let flow_batch_shape ~label ~n_tasks ~batch_workers ~degree ~batches ~reps =
     fb_flow = cold_flow;
     fb_cold_s = cold_s;
     fb_dag_s = dag_s;
-    fb_warm_s = warm_s;
     fb_inc_s = inc_s;
     fb_checksum_ok = checksum_ok;
   }
@@ -311,25 +290,21 @@ let run_flow_batch ~scale () =
   ( "BENCH_flow_batch",
     Printf.sprintf
       "{\"batches\": %d, \"nodes\": %d, \"arcs\": %d, \"flow_units\": %d, \
-       \"cold_bf_s\": %.6f, \"reuse_dag_s\": %.6f, \"reuse_warm_s\": %.6f, \
-       \"incremental_s\": %.6f, \"speedup_dag\": %.3f, \"speedup_warm\": \
-       %.3f, \"speedup_incremental\": %.3f, \"checksum_ok\": %d, \
-       \"x100_batches\": %d, \"x100_nodes\": %d, \"x100_arcs\": %d, \
-       \"x100_flow_units\": %d, \"x100_cold_bf_s\": %.6f, \
-       \"x100_reuse_dag_s\": %.6f, \"x100_reuse_warm_s\": %.6f, \
-       \"x100_incremental_s\": %.6f, \"x100_speedup_dag\": %.3f, \
-       \"x100_speedup_warm\": %.3f, \"x100_speedup_incremental\": %.3f, \
+       \"cold_bf_s\": %.6f, \"reuse_dag_s\": %.6f, \"incremental_s\": \
+       %.6f, \"speedup_dag\": %.3f, \"speedup_incremental\": %.3f, \
+       \"checksum_ok\": %d, \"x100_batches\": %d, \"x100_nodes\": %d, \
+       \"x100_arcs\": %d, \"x100_flow_units\": %d, \"x100_cold_bf_s\": \
+       %.6f, \"x100_reuse_dag_s\": %.6f, \"x100_incremental_s\": %.6f, \
+       \"x100_speedup_dag\": %.3f, \"x100_speedup_incremental\": %.3f, \
        \"x100_checksum_ok\": %d}"
       small.fb_batches small.fb_nodes small.fb_arcs small.fb_flow
-      small.fb_cold_s small.fb_dag_s small.fb_warm_s small.fb_inc_s
+      small.fb_cold_s small.fb_dag_s small.fb_inc_s
       (speedup small.fb_cold_s small.fb_dag_s)
-      (speedup small.fb_cold_s small.fb_warm_s)
       (speedup small.fb_cold_s small.fb_inc_s)
       (if small.fb_checksum_ok then 1 else 0)
       big.fb_batches big.fb_nodes big.fb_arcs big.fb_flow big.fb_cold_s
-      big.fb_dag_s big.fb_warm_s big.fb_inc_s
+      big.fb_dag_s big.fb_inc_s
       (speedup big.fb_cold_s big.fb_dag_s)
-      (speedup big.fb_cold_s big.fb_warm_s)
       (speedup big.fb_cold_s big.fb_inc_s)
       (if big.fb_checksum_ok then 1 else 0) )
 
@@ -954,26 +929,35 @@ let micro_tests () =
   let random_decide =
     Ltc_algo.Random_assign.policy ~seed:7 instance tracker progress
   in
-  (* A representative single-batch LTC network: 60 workers x 40 tasks. *)
-  let fill_mcmf_input g =
+  (* A representative single-batch LTC network: 60 workers x 40 tasks.
+     The arc list is drawn from the RNG once, here; the timed closures
+     below only replay it into a graph and solve, so the RNG's boxed
+     draws stay out of the measurement. *)
+  let arc_src, arc_dst, arc_cap, arc_cost =
     let rng = Ltc_util.Rng.create ~seed:3 in
+    let arcs = ref [] in
     for w = 1 to 60 do
-      ignore (Ltc_flow.Graph.add_arc g ~src:0 ~dst:w ~cap:6 ~cost:0.0);
+      arcs := (0, w, 6, 0.0) :: !arcs;
       for t = 61 to 100 do
         if Ltc_util.Rng.bernoulli rng 0.2 then
-          ignore
-            (Ltc_flow.Graph.add_arc g ~src:w ~dst:t ~cap:1
-               ~cost:(-.Ltc_util.Rng.float rng 1.0))
+          arcs := (w, t, 1, -.Ltc_util.Rng.float rng 1.0) :: !arcs
       done
     done;
     for t = 61 to 100 do
-      ignore (Ltc_flow.Graph.add_arc g ~src:t ~dst:101 ~cap:4 ~cost:0.0)
-    done
+      arcs := (t, 101, 4, 0.0) :: !arcs
+    done;
+    let arcs = Array.of_list (List.rev !arcs) in
+    ( Array.map (fun (s, _, _, _) -> s) arcs,
+      Array.map (fun (_, d, _, _) -> d) arcs,
+      Array.map (fun (_, _, c, _) -> c) arcs,
+      Array.map (fun (_, _, _, c) -> c) arcs )
   in
-  let mcmf_input () =
-    let g = Ltc_flow.Graph.create ~n:102 in
-    fill_mcmf_input g;
-    g
+  let fill_mcmf_input g =
+    for a = 0 to Array.length arc_src - 1 do
+      ignore
+        (Ltc_flow.Graph.add_arc g ~src:arc_src.(a) ~dst:arc_dst.(a)
+           ~cap:arc_cap.(a) ~cost:arc_cost.(a))
+    done
   in
   let reuse_g = Ltc_flow.Graph.create ~n:1 in
   let reuse_ws = Ltc_flow.Mcmf.create_workspace () in
@@ -998,7 +982,8 @@ let micro_tests () =
            ignore (Ltc_core.Progress.sum_remaining progress)));
     Test.make ~name:"mcmf-batch-60x40"
       (Staged.stage (fun () ->
-           let g = mcmf_input () in
+           let g = Ltc_flow.Graph.create ~n:102 in
+           fill_mcmf_input g;
            ignore (Ltc_flow.Mcmf.run g ~source:0 ~sink:101)));
     Test.make ~name:"mcmf-batch-60x40-reused"
       (Staged.stage (fun () ->

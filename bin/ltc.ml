@@ -133,9 +133,9 @@ let build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed =
     in
     Ltc_workload.City.generate rng (Ltc_workload.Spec.scale_city scale base)
 
-let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
-    mcf_solver mcf_budget validate simulate load report save_arrangement
-    screen verbose svg log_levels metrics metrics_format =
+let run_cmd_impl build_instance seed algo mcf_solver mcf_budget validate
+    simulate load report save_arrangement screen verbose svg log_levels metrics
+    metrics_format =
   setup_observability ~verbose ~log_levels ~metrics;
   (match mcf_solver with
   | Some name
@@ -149,8 +149,7 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
   let instance =
     match load with
     | Some path -> Ltc_core.Serialize.load_instance ~path
-    | None ->
-      build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed
+    | None -> build_instance ~seed
   in
   Format.printf "%a@.@." Ltc_core.Instance.pp instance;
   if screen then begin
@@ -248,19 +247,22 @@ let run_cmd_impl workload scale tasks workers capacity epsilon seed algo
   write_snapshot ~metrics ~metrics_format;
   0
 
-let scale_arg =
-  Arg.(value & opt float 0.1
-       & info [ "scale" ] ~docv:"S"
-           ~doc:"Density-preserving workload scale (1.0 = paper size).")
-
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-let run_cmd =
+(* The workload flags of run and generate, as one term yielding a
+   function from seed to instance (the seed stays a separate flag: run
+   also seeds its algorithms with it). *)
+let instance_term =
   let workload =
     Arg.(value & opt workload_conv Synthetic
          & info [ "workload"; "w" ] ~docv:"KIND"
              ~doc:"Workload: $(b,synthetic), $(b,ny) or $(b,tokyo).")
+  in
+  let scale =
+    Arg.(value & opt float 0.1
+         & info [ "scale" ] ~docv:"S"
+             ~doc:"Density-preserving workload scale (1.0 = paper size).")
   in
   let tasks =
     Arg.(value & opt (some int) None
@@ -278,6 +280,12 @@ let run_cmd =
     Arg.(value & opt (some float) None
          & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Tolerable error rate.")
   in
+  let build workload scale tasks workers capacity epsilon ~seed =
+    build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed
+  in
+  Term.(const build $ workload $ scale $ tasks $ workers $ capacity $ epsilon)
+
+let run_cmd =
   let algo =
     Arg.(value & opt (some string) None
          & info [ "algo"; "a" ] ~docv:"NAME"
@@ -287,7 +295,7 @@ let run_cmd =
     Arg.(value & opt (some string) None
          & info [ "mcf-solver" ] ~docv:"NAME"
              ~doc:"Flow backend for MCF-LTC's per-batch solves: \
-                   $(b,sspa) (default), $(b,spfa) or $(b,incremental) \
+                   $(b,sspa) (default) or $(b,incremental) \
                    (see $(b,ltc solvers)).  Only affects MCF-LTC.")
   in
   let mcf_budget =
@@ -341,42 +349,18 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"generate a workload and run LTC algorithms on it")
     Term.(
-      const run_cmd_impl $ workload $ scale_arg $ tasks $ workers $ capacity
-      $ epsilon $ seed_arg $ algo $ mcf_solver $ mcf_budget $ validate
-      $ simulate $ load $ report $ save_arrangement $ screen $ verbose $ svg
-      $ log_arg $ metrics_arg $ metrics_format_arg)
+      const run_cmd_impl $ instance_term $ seed_arg $ algo $ mcf_solver
+      $ mcf_budget $ validate $ simulate $ load $ report $ save_arrangement
+      $ screen $ verbose $ svg $ log_arg $ metrics_arg $ metrics_format_arg)
 
 (* ------------------------------------------------------- generate command *)
 
 let generate_cmd =
-  let impl workload scale tasks workers capacity epsilon seed out =
-    let instance =
-      build_instance ~workload ~scale ~tasks ~workers ~capacity ~epsilon ~seed
-    in
+  let impl build_instance seed out =
+    let instance = build_instance ~seed in
     Ltc_core.Serialize.save_instance ~path:out instance;
     Format.printf "%a@.saved to %s@." Ltc_core.Instance.pp instance out;
     0
-  in
-  let workload =
-    Arg.(value & opt workload_conv Synthetic
-         & info [ "workload"; "w" ] ~docv:"KIND"
-             ~doc:"Workload: $(b,synthetic), $(b,ny) or $(b,tokyo).")
-  in
-  let tasks =
-    Arg.(value & opt (some int) None
-         & info [ "tasks"; "T" ] ~docv:"N" ~doc:"Task count (pre-scaling).")
-  in
-  let workers =
-    Arg.(value & opt (some int) None
-         & info [ "workers"; "W" ] ~docv:"N" ~doc:"Worker count (pre-scaling).")
-  in
-  let capacity =
-    Arg.(value & opt (some int) None
-         & info [ "capacity"; "K" ] ~docv:"K" ~doc:"Per-worker capacity.")
-  in
-  let epsilon =
-    Arg.(value & opt (some float) None
-         & info [ "epsilon"; "e" ] ~docv:"EPS" ~doc:"Tolerable error rate.")
   in
   let out =
     Arg.(required & opt (some string) None
@@ -384,9 +368,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"generate a workload and save it to a file")
-    Term.(
-      const impl $ workload $ scale_arg $ tasks $ workers $ capacity
-      $ epsilon $ seed_arg $ out)
+    Term.(const impl $ instance_term $ seed_arg $ out)
 
 (* ---------------------------------------------------------- sweep command *)
 
@@ -644,143 +626,7 @@ let example_cmd =
     (Cmd.info "example" ~doc:"replay the paper's running example")
     Term.(const impl $ const ())
 
-(* ---------------------------------------------------------- serve command *)
-
-(* NDJSON arrivals on stdin, one NDJSON decision per processed arrival on
-   stdout (flushed line by line, so the command composes with pipes and
-   survives kill -9 mid-stream).  Arrivals at or below the session's
-   consumed index are skipped silently, which makes resumption idempotent:
-   re-piping the whole stream after `--resume` emits exactly the decisions
-   the interrupted run still owed. *)
-let serve_stream ~on_bad_input session =
-  let consumed_at_start = Ltc_service.Session.consumed session in
-  let skipped = ref 0 in
-  let bad = ref 0 in
-  let m_bad =
-    Ltc_util.Metrics.counter
-      ~help:"malformed arrival lines dropped by --on-bad-input=skip"
-      ~labels:[ ("algo", Ltc_service.Session.algorithm_name session) ]
-      "ltc_service_bad_input_total"
-  in
-  (* Raw input position (blank lines included), so diagnostics point at
-     the line an operator would find with sed -n '<N>p'. *)
-  let line_no = ref 0 in
-  let rec loop () =
-    match input_line stdin with
-    | exception End_of_file -> ()
-    | line ->
-      incr line_no;
-      if String.trim line = "" then loop ()
-      else begin
-        match Ltc_service.Ndjson.arrival_exn ~line:!line_no line with
-        | exception Ltc_service.Ndjson.Bad_input { line; text; reason }
-          when on_bad_input = `Skip ->
-          incr bad;
-          Ltc_util.Metrics.Counter.incr m_bad;
-          Format.eprintf "serve: dropping bad input at line %d: %s: %S@."
-            line reason text;
-          loop ()
-        | w ->
-          if w.Ltc_core.Worker.index <= Ltc_service.Session.consumed session
-          then begin
-            incr skipped;
-            loop ()
-          end
-          else begin
-            let d = Ltc_service.Session.feed session w in
-            print_string
-              (Ltc_service.Ndjson.decision_to_line
-                 ~degraded:d.Ltc_service.Session.degraded
-                 ~worker:d.Ltc_service.Session.worker
-                 ~assigned:d.Ltc_service.Session.assigned
-                 ~answered:d.Ltc_service.Session.answered
-                 ~completed:d.Ltc_service.Session.completed
-                 ~latency:d.Ltc_service.Session.latency ());
-            print_newline ();
-            flush stdout;
-            (* Stop at completion: the batch loop consumes nothing past
-               it, so acknowledging further arrivals would only differ
-               between an uninterrupted run and a resumed one. *)
-            if not d.Ltc_service.Session.completed then loop ()
-          end
-      end
-  in
-  loop ();
-  Format.eprintf "serve: algorithm=%s consumed=%d (resumed at %d, skipped \
-                  %d, bad %d) latency=%d completed=%b@."
-    (Ltc_service.Session.algorithm_name session)
-    (Ltc_service.Session.consumed session)
-    consumed_at_start !skipped !bad
-    (Ltc_service.Session.latency session)
-    (Ltc_service.Session.completed session)
-
-(* Sharded variant of [serve_stream]: every arrival from index 1 is fed
-   (a resumed server skips already-durable arrivals internally and emits
-   nothing for them), released decisions are printed in global order, and
-   the stream stops once the completing decision has been printed — acks
-   released behind it are dropped so the output matches an un-sharded
-   serve byte for byte. *)
-let serve_stream_sharded ~on_bad_input server =
-  let module Srv = Ltc_service.Shard_server in
-  let bad = ref 0 in
-  let m_bad =
-    Ltc_util.Metrics.counter
-      ~help:"malformed arrival lines dropped by --on-bad-input=skip"
-      ~labels:[ ("algo", Srv.algorithm_name server) ]
-      "ltc_service_bad_input_total"
-  in
-  let line_no = ref 0 in
-  let done_ = ref false in
-  let emit ds =
-    List.iter
-      (fun (d : Ltc_service.Session.decision) ->
-        if not !done_ then begin
-          print_string
-            (Ltc_service.Ndjson.decision_to_line
-               ~degraded:d.Ltc_service.Session.degraded
-               ~worker:d.Ltc_service.Session.worker
-               ~assigned:d.Ltc_service.Session.assigned
-               ~answered:d.Ltc_service.Session.answered
-               ~completed:d.Ltc_service.Session.completed
-               ~latency:d.Ltc_service.Session.latency ());
-          print_newline ();
-          flush stdout;
-          if d.Ltc_service.Session.completed then done_ := true
-        end)
-      ds
-  in
-  let rec loop () =
-    if not !done_ then
-      match input_line stdin with
-      | exception End_of_file -> ()
-      | line ->
-        incr line_no;
-        if String.trim line = "" then loop ()
-        else begin
-          match Ltc_service.Ndjson.arrival_exn ~line:!line_no line with
-          | exception Ltc_service.Ndjson.Bad_input { line; text; reason }
-            when on_bad_input = `Skip ->
-            incr bad;
-            Ltc_util.Metrics.Counter.incr m_bad;
-            Format.eprintf "serve: dropping bad input at line %d: %s: %S@."
-              line reason text;
-            loop ()
-          | w ->
-            emit (Srv.feed server w);
-            loop ()
-        end
-  in
-  loop ();
-  emit (Srv.flush server);
-  Format.eprintf
-    "serve: algorithm=%s shards=%d consumed=%d (resumed at %d, skipped %d, \
-     bad %d) latency=%d completed=%b stalls=%d@."
-    (Srv.algorithm_name server) (Srv.shards server) (Srv.consumed server)
-    (Srv.resumed_at server) (Srv.replayed server) !bad (Srv.latency server)
-    (Srv.completed server) (Srv.stalls server);
-  if Srv.supervised server then
-    Format.eprintf "serve: supervision: restarts=%d quarantined=%d shed=%d@."
-      (Srv.restarts server) (Srv.quarantined server) (Srv.shed server)
+(* ---------------------------------------------------- shared session flags *)
 
 let die fmt =
   Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
@@ -792,13 +638,64 @@ let resolve_algorithm name =
     die "unknown algorithm %S (try: %s)" name
       (String.concat ", " (Ltc_algo.Algorithm.names ()))
 
-let resolve_deadline deadline_s fallback_name =
-  match (deadline_s, fallback_name) with
-  | None, None -> None
-  | None, Some _ -> die "--fallback only makes sense with --deadline"
-  | Some budget_s, name ->
-    let fallback = resolve_algorithm (Option.value name ~default:"Nearest") in
-    Some { Ltc_service.Session.budget_s; fallback }
+(* Optional for serve (--resume restores it), required by loadgen and
+   chaos. *)
+let algorithm_info =
+  Arg.info [ "algorithm"; "a" ] ~docv:"NAME"
+    ~doc:"Online algorithm serving the stream (one with a per-arrival \
+          policy: LAF, AAM, Random, LGF-only, LRF-only, Nearest)."
+
+let algorithm_arg = Arg.(required & opt (some string) None algorithm_info)
+
+(* loadgen and chaos replay the instance's own workers; serve ignores them
+   and reads arrivals from stdin, so it defines its own --load. *)
+let workers_instance_arg =
+  Arg.(required & opt (some string) None
+       & info [ "load" ] ~docv:"FILE"
+           ~doc:"Instance file written by $(b,ltc generate); its embedded \
+                 workers are the arrival stream, in index order.")
+
+let accept_rate_arg =
+  Arg.(value & opt (some float) None
+       & info [ "accept-rate" ] ~docv:"Q"
+           ~doc:"Simulate no-shows: each assignment is honoured with \
+                 probability $(docv) in (0, 1].")
+
+let journal_arg =
+  Arg.(value & opt (some string) None
+       & info [ "journal" ] ~docv:"PATH"
+           ~doc:"Append every arrival and decision to $(docv), with \
+                 periodic snapshots, so the session survives a crash.")
+
+let checkpoint_every_arg default =
+  Arg.(value & opt int default
+       & info [ "checkpoint-every" ] ~docv:"N"
+           ~doc:"Compact the journal to a snapshot every $(docv) events.")
+
+(* --deadline/--fallback as one term yielding the session deadline. *)
+let deadline_term =
+  let deadline =
+    Arg.(value & opt (some float) None
+         & info [ "deadline" ] ~docv:"SECONDS"
+             ~doc:"Per-arrival solve budget (> 0); an arrival whose \
+                   decision takes longer is re-decided by the fallback \
+                   algorithm and marked \"degraded\" on the wire.")
+  in
+  let fallback =
+    Arg.(value & opt (some string) None
+         & info [ "fallback" ] ~docv:"NAME"
+             ~doc:"Algorithm that decides deadline-missing arrivals \
+                   (default Nearest).  Requires --deadline.")
+  in
+  let resolve deadline fallback =
+    match (deadline, fallback) with
+    | None, None -> None
+    | None, Some _ -> die "--fallback only makes sense with --deadline"
+    | Some budget_s, name ->
+      let fallback = resolve_algorithm (Option.value name ~default:"Nearest") in
+      Some { Ltc_service.Session.budget_s; fallback }
+  in
+  Term.(const resolve $ deadline $ fallback)
 
 (* Journal codec / group-commit flags, shared by serve, loadgen and
    chaos. *)
@@ -828,165 +725,258 @@ let group_commit_arg =
            uncommitted group — those arrivals are simply replayed, like \
            a torn tail.")
 
-(* Sharded-serving flags, shared by serve and loadgen. *)
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Partition the task universe into $(docv) spatial shards, each \
-           served by its own journaled session on its own domain \
-           (journals land at PATH.shard0..PATH.shard<K-1> with a \
-           manifest at PATH).  Without this flag a single session serves \
-           the whole instance.")
+(* Sharded serving and its supervision (serve and loadgen) as one term:
+   the shard count, the mailbox bound and the supervisor config.
+   Supervision switches on when either supervision flag departs from its
+   unsupervised default: a restart budget, or shed-on-overload. *)
+let sharding_term =
+  let shards =
+    Arg.(value & opt (some int) None
+         & info [ "shards" ] ~docv:"K"
+             ~doc:"Partition the task universe into $(docv) spatial \
+                   shards, each served by its own journaled session on \
+                   its own domain (journals land at \
+                   PATH.shard0..PATH.shard<K-1> with a manifest at PATH).  \
+                   Without this flag a single session serves the whole \
+                   instance.")
+  in
+  let mailbox =
+    Arg.(value & opt int 64
+         & info [ "mailbox" ] ~docv:"N"
+             ~doc:"Bound each shard's arrival mailbox at $(docv) entries; a \
+                   full mailbox blocks the router (counted as a stall), \
+                   never drops.")
+  in
+  let max_restarts =
+    Arg.(value & opt (some int) None
+         & info [ "max-restarts" ] ~docv:"N"
+             ~doc:"Supervise the shard domains (requires --shards): a \
+                   shard whose session crashes is restored online from its \
+                   own journal, up to $(docv) times per shard with \
+                   exponential backoff; beyond that the shard is \
+                   quarantined and its arrivals are acknowledged as \
+                   explicit unassigned decisions.  $(docv) > 0 requires \
+                   --journal.")
+  in
+  let overload =
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("block", Ltc_service.Supervisor.Block);
+                  ("shed", Ltc_service.Supervisor.Shed);
+                ])
+             Ltc_service.Supervisor.Block
+         & info [ "overload" ] ~docv:"block|shed"
+             ~doc:"What a full shard mailbox does to an arrival (requires \
+                   --shards): $(b,block) (default) applies backpressure; \
+                   $(b,shed) acknowledges it immediately as an unassigned \
+                   degraded decision (counted in ltc_shard_shed_total) \
+                   without touching the shard.")
+  in
+  let resolve shards mailbox max_restarts overload =
+    let supervise =
+      match (max_restarts, overload) with
+      | None, Ltc_service.Supervisor.Block -> None
+      | _ ->
+        (* --overload shed alone supervises with a zero restart budget
+           (quarantine-on-crash), which needs no journal. *)
+        Some
+          {
+            Ltc_service.Supervisor.max_restarts =
+              Option.value max_restarts ~default:0;
+            backoff =
+              Ltc_service.Supervisor.default.Ltc_service.Supervisor.backoff;
+            overload;
+          }
+    in
+    (shards, mailbox, supervise)
+  in
+  Term.(const resolve $ shards $ mailbox $ max_restarts $ overload)
 
-let mailbox_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "mailbox" ] ~docv:"N"
-        ~doc:
-          "Bound each shard's arrival mailbox at $(docv) entries; a full \
-           mailbox blocks the router (counted as a stall), never drops.")
+let check_supervision supervise ~sharded ~journaled =
+  match supervise with
+  | Some _ when not sharded ->
+    die "--max-restarts/--overload supervise shard domains; they need \
+         --shards"
+  | Some c when c.Ltc_service.Supervisor.max_restarts > 0 && not journaled ->
+    die "--max-restarts > 0 restores shards from their journals; add \
+         --journal PATH"
+  | _ -> ()
 
-(* Shard supervision flags (serve and loadgen).  Supervision switches on
-   when either flag departs from "unsupervised" defaults: a restart
-   budget, or shed-on-overload. *)
-let max_restarts_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-restarts" ] ~docv:"N"
-        ~doc:
-          "Supervise the shard domains (requires --shards): a shard whose \
-           session crashes is restored online from its own journal, up to \
-           $(docv) times per shard with exponential backoff; beyond that \
-           the shard is quarantined and its arrivals are acknowledged as \
-           explicit unassigned decisions.  $(docv) > 0 requires \
-           --journal.")
+(* ---------------------------------------------------------- serve command *)
 
-let overload_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("block", Ltc_service.Supervisor.Block);
-             ("shed", Ltc_service.Supervisor.Shed);
-           ])
-        Ltc_service.Supervisor.Block
-    & info [ "overload" ] ~docv:"block|shed"
-        ~doc:
-          "What a full shard mailbox does to an arrival (requires \
-           --shards): $(b,block) (default) applies backpressure; \
-           $(b,shed) acknowledges it immediately as an unassigned \
-           degraded decision (counted in ltc_shard_shed_total) without \
-           touching the shard.")
+(* One NDJSON line per decision, flushed line by line so the command
+   composes with pipes and survives kill -9 mid-stream.  A decision that
+   reports completion but answered nothing acknowledges an arrival past
+   the completion point (the completing decision itself always answers);
+   the uninterrupted run never emits one, so serve never does. *)
+let print_decision (d : Ltc_service.Session.decision) =
+  if not (d.Ltc_service.Session.completed && d.Ltc_service.Session.answered = [])
+  then begin
+    print_string
+      (Ltc_service.Ndjson.decision_to_line
+         ~degraded:d.Ltc_service.Session.degraded
+         ~worker:d.Ltc_service.Session.worker
+         ~assigned:d.Ltc_service.Session.assigned
+         ~answered:d.Ltc_service.Session.answered
+         ~completed:d.Ltc_service.Session.completed
+         ~latency:d.Ltc_service.Session.latency ());
+    print_newline ()
+  end
 
-let resolve_supervise ~max_restarts ~overload =
-  match (max_restarts, overload) with
-  | None, Ltc_service.Supervisor.Block -> None
-  | _ ->
-    (* --overload shed alone supervises with a zero restart budget
-       (quarantine-on-crash), which needs no journal. *)
-    Some
-      {
-        Ltc_service.Supervisor.max_restarts =
-          Option.value max_restarts ~default:0;
-        backoff = Ltc_service.Supervisor.default.Ltc_service.Supervisor.backoff;
-        overload;
-      }
+(* The stdin loop of both serve paths: NDJSON arrivals in, [feed] per
+   arrival, until end of input or until [completed ()] holds — nothing is
+   read past completion, since the batch loop consumes nothing past it
+   either.  Line numbers count raw input lines (blank ones included), so
+   diagnostics point at the line an operator finds with sed -n '<N>p'.
+   Returns the number of lines dropped by --on-bad-input=skip. *)
+let serve_input ~on_bad_input ~algorithm ~completed feed =
+  let m_bad =
+    Ltc_util.Metrics.counter
+      ~help:"malformed arrival lines dropped by --on-bad-input=skip"
+      ~labels:[ ("algo", algorithm) ]
+      "ltc_service_bad_input_total"
+  in
+  let bad = ref 0 in
+  let line_no = ref 0 in
+  let rec loop () =
+    if not (completed ()) then
+      match input_line stdin with
+      | exception End_of_file -> ()
+      | line ->
+        incr line_no;
+        (if String.trim line <> "" then
+           match Ltc_service.Ndjson.arrival_exn ~line:!line_no line with
+           | w -> feed w
+           | exception Ltc_service.Ndjson.Bad_input { line; text; reason }
+             when on_bad_input = `Skip ->
+             incr bad;
+             Ltc_util.Metrics.Counter.incr m_bad;
+             Format.eprintf "serve: dropping bad input at line %d: %s: %S@."
+               line reason text);
+        loop ()
+  in
+  loop ();
+  !bad
+
+(* Arrivals at or below the session's consumed index are skipped, which
+   makes resumption idempotent: re-piping the whole stream after
+   `--resume` emits exactly the decisions the interrupted run still
+   owed. *)
+let serve_session ~on_bad_input session =
+  let module S = Ltc_service.Session in
+  let resumed_at = S.consumed session in
+  let skipped = ref 0 in
+  let bad =
+    serve_input ~on_bad_input ~algorithm:(S.algorithm_name session)
+      ~completed:(fun () -> S.completed session)
+      (fun w ->
+        if w.Ltc_core.Worker.index <= S.consumed session then incr skipped
+        else print_decision (S.feed session w))
+  in
+  Format.eprintf "serve: algorithm=%s consumed=%d (resumed at %d, skipped \
+                  %d, bad %d) latency=%d completed=%b@."
+    (S.algorithm_name session) (S.consumed session) resumed_at !skipped bad
+    (S.latency session) (S.completed session)
+
+(* Every arrival from index 1 is fed (a resumed server replays
+   already-durable arrivals internally and emits nothing for them), and
+   released decisions are printed in global order. *)
+let serve_sharded ~on_bad_input server =
+  let module Srv = Ltc_service.Shard_server in
+  let bad =
+    serve_input ~on_bad_input ~algorithm:(Srv.algorithm_name server)
+      ~completed:(fun () -> Srv.completed server)
+      (fun w -> List.iter print_decision (Srv.feed server w))
+  in
+  List.iter print_decision (Srv.flush server);
+  Format.eprintf
+    "serve: algorithm=%s shards=%d consumed=%d (resumed at %d, skipped %d, \
+     bad %d) latency=%d completed=%b stalls=%d@."
+    (Srv.algorithm_name server) (Srv.shards server) (Srv.consumed server)
+    (Srv.resumed_at server) (Srv.replayed server) bad (Srv.latency server)
+    (Srv.completed server) (Srv.stalls server);
+  if Srv.supervised server then
+    Format.eprintf "serve: supervision: restarts=%d quarantined=%d shed=%d@."
+      (Srv.restarts server) (Srv.quarantined server) (Srv.shed server)
 
 let serve_cmd_impl load algo_name seed accept_rate journal checkpoint_every
-    resume fsync journal_format group_commit shards mailbox max_restarts
-    overload deadline_s fallback_name on_bad_input log_levels metrics
-    metrics_format =
+    resume fsync journal_format group_commit (shards, mailbox, supervise)
+    deadline on_bad_input log_levels metrics metrics_format =
   setup_observability ~verbose:false ~log_levels ~metrics;
-  let fail fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt in
-  let supervise = resolve_supervise ~max_restarts ~overload in
-  if supervise <> None && shards = None && resume = None then
-    fail "--max-restarts/--overload supervise shard domains; they need \
-          --shards (or --resume of a sharded journal)";
-  (match supervise with
-  | Some c
-    when c.Ltc_service.Supervisor.max_restarts > 0
-         && journal = None && resume = None ->
-    fail "--max-restarts > 0 restores shards from their journals; add \
-          --journal PATH"
-  | _ -> ());
-  let require_fresh_args () =
+  check_supervision supervise
+    ~sharded:(shards <> None || resume <> None)
+    ~journaled:(journal <> None || resume <> None);
+  let fresh_args () =
     let load =
       match load with
       | Some p -> p
-      | None -> fail "serve needs --load FILE (or --resume PATH)"
+      | None -> die "serve needs --load FILE (or --resume PATH)"
     in
     let algorithm =
       match algo_name with
-      | None -> fail "serve needs --algorithm NAME (or --resume PATH)"
+      | None -> die "serve needs --algorithm NAME (or --resume PATH)"
       | Some name -> resolve_algorithm name
     in
-    let deadline = resolve_deadline deadline_s fallback_name in
-    (Ltc_core.Serialize.load_instance ~path:load, algorithm, deadline)
+    (Ltc_core.Serialize.load_instance ~path:load, algorithm)
   in
   let fresh ~journal () =
-    let instance, algorithm, deadline = require_fresh_args () in
+    let instance, algorithm = fresh_args () in
     Ltc_service.Session.create ?accept_rate ?deadline ?journal
       ~checkpoint_every ~fsync ~format:journal_format ~group_commit
       ~algorithm ~seed instance
   in
-  let fresh_sharded ~shards () =
-    let instance, algorithm, deadline = require_fresh_args () in
-    Ltc_service.Shard_server.create ?accept_rate ?deadline ?journal
-      ?supervise ~checkpoint_every ~fsync ~format:journal_format
-      ~group_commit ~mailbox ~mode:Ltc_service.Shard_server.Domains ~shards
-      ~algorithm ~seed instance
-  in
   let finish_sharded server =
-    serve_stream_sharded ~on_bad_input server;
+    serve_sharded ~on_bad_input server;
     Ltc_service.Shard_server.close server;
     write_snapshot ~metrics ~metrics_format;
     0
   in
   let reject_resume_overrides () =
     if load <> None || algo_name <> None then
-      fail "--resume restores the instance and algorithm from the journal; \
-            drop --load/--algorithm";
-    if deadline_s <> None || fallback_name <> None then
-      fail "--resume restores the deadline from the journal; drop \
-            --deadline/--fallback"
+      die "--resume restores the instance and algorithm from the journal; \
+           drop --load/--algorithm";
+    if deadline <> None then
+      die "--resume restores the deadline from the journal; drop \
+           --deadline/--fallback"
   in
-  match resume with
-  | Some _ when shards <> None ->
-    fail "--resume restores the shard count from the manifest; drop --shards"
-  | Some path when Ltc_service.Shard_server.is_manifest path ->
+  match (resume, shards) with
+  | Some _, Some _ ->
+    die "--resume restores the shard count from the manifest; drop --shards"
+  | Some path, None when Ltc_service.Shard_server.is_manifest path ->
     (* A sharded journal: the manifest at the base path names the shard
        count, instance and session options. *)
     reject_resume_overrides ();
     finish_sharded
       (Ltc_service.Shard_server.restore ~mailbox ?supervise
          ~mode:Ltc_service.Shard_server.Domains ~fsync ~group_commit ~path ())
-  | resume -> (
-    match shards with
-    | Some shards -> finish_sharded (fresh_sharded ~shards ())
-    | None ->
-      let session =
-        match resume with
-        | Some path when Ltc_service.Session.is_empty_journal path ->
-          (* The journaled run died before its header became durable, so
-             there is nothing to restore — start over into the same
-             file. *)
-          Format.eprintf
-            "serve: journal %s is empty; starting a fresh session@." path;
-          fresh ~journal:(Some (Option.value journal ~default:path)) ()
-        | Some path ->
-          reject_resume_overrides ();
-          Ltc_service.Session.restore ?journal ~fsync ~group_commit ~path ()
-        | None -> fresh ~journal ()
-      in
-      serve_stream ~on_bad_input session;
-      Ltc_service.Session.close session;
-      write_snapshot ~metrics ~metrics_format;
-      0)
+  | None, Some shards ->
+    let instance, algorithm = fresh_args () in
+    finish_sharded
+      (Ltc_service.Shard_server.create ?accept_rate ?deadline ?journal
+         ?supervise ~checkpoint_every ~fsync ~format:journal_format
+         ~group_commit ~mailbox ~mode:Ltc_service.Shard_server.Domains
+         ~shards ~algorithm ~seed instance)
+  | resume, None ->
+    let session =
+      match resume with
+      | Some path when Ltc_service.Session.is_empty_journal path ->
+        (* The journaled run died before its header became durable, so
+           there is nothing to restore — start over into the same
+           file. *)
+        Format.eprintf
+          "serve: journal %s is empty; starting a fresh session@." path;
+        fresh ~journal:(Some (Option.value journal ~default:path)) ()
+      | Some path ->
+        reject_resume_overrides ();
+        Ltc_service.Session.restore ?journal ~fsync ~group_commit ~path ()
+      | None -> fresh ~journal ()
+    in
+    serve_session ~on_bad_input session;
+    Ltc_service.Session.close session;
+    write_snapshot ~metrics ~metrics_format;
+    0
 
 let serve_cmd =
   let load =
@@ -994,30 +984,6 @@ let serve_cmd =
          & info [ "load" ] ~docv:"FILE"
              ~doc:"Instance file written by $(b,ltc generate); its embedded \
                    workers are ignored — arrivals come from stdin.")
-  in
-  let algo =
-    Arg.(value & opt (some string) None
-         & info [ "algorithm"; "a" ] ~docv:"NAME"
-             ~doc:"Online algorithm serving the stream (one with a \
-                   per-arrival policy: LAF, AAM, Random, LGF-only, \
-                   LRF-only, Nearest).")
-  in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows: each assignment is honoured with \
-                   probability $(docv) in (0, 1].")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Append every arrival and decision to $(docv), with \
-                   periodic snapshots, so the session survives a crash.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 256
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Compact the journal to a snapshot every $(docv) events.")
   in
   let resume =
     Arg.(value & opt (some string) None
@@ -1033,19 +999,6 @@ let serve_cmd =
              ~doc:"fsync the journal after every event, not only at \
                    checkpoints — survives power loss, not just crashes.")
   in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-arrival solve budget; an arrival whose decision \
-                   takes longer is re-decided by the fallback algorithm \
-                   and marked \"degraded\" on the wire.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Algorithm that decides deadline-missing arrivals \
-                   (default Nearest).  Requires --deadline.")
-  in
   let on_bad_input =
     Arg.(value
          & opt (enum [ ("fail", `Fail); ("skip", `Skip) ]) `Fail
@@ -1059,11 +1012,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"serve an NDJSON arrival stream with a resumable session")
     Term.(
-      const serve_cmd_impl $ load $ algo $ seed_arg $ accept_rate $ journal
-      $ checkpoint_every $ resume $ fsync $ journal_format_arg
-      $ group_commit_arg $ shards_arg $ mailbox_arg $ max_restarts_arg
-      $ overload_arg $ deadline $ fallback $ on_bad_input $ log_arg
-      $ metrics_arg $ metrics_format_arg)
+      const serve_cmd_impl $ load
+      $ Arg.(value & opt (some string) None algorithm_info)
+      $ seed_arg $ accept_rate_arg $ journal_arg $ checkpoint_every_arg 256
+      $ resume $ fsync $ journal_format_arg $ group_commit_arg
+      $ sharding_term $ deadline_term $ on_bad_input $ log_arg $ metrics_arg
+      $ metrics_format_arg)
 
 (* -------------------------------------------------------- loadgen command *)
 
@@ -1073,23 +1027,13 @@ let serve_cmd =
    and as a Perfetto-loadable Chrome trace.  The default virtual timing
    makes the whole report a pure function of the flags. *)
 let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
-    journal_format group_commit shards mailbox max_restarts overload
-    deadline_s fallback_name shape_spec rate arrivals service_mean
-    service_dist timing poisson slo flight_out flight_capacity trace_out
-    log_levels metrics metrics_format =
+    journal_format group_commit (shards, mailbox, supervise) deadline
+    shape_spec rate arrivals service_mean service_dist timing poisson slo
+    flight_out flight_capacity trace_out log_levels metrics metrics_format =
   setup_observability ~verbose:false ~log_levels ~metrics;
-  let supervise = resolve_supervise ~max_restarts ~overload in
-  if supervise <> None && shards = None then
-    die "loadgen: --max-restarts/--overload supervise shard domains; they \
-         need --shards";
-  (match supervise with
-  | Some c
-    when c.Ltc_service.Supervisor.max_restarts > 0 && journal = None ->
-    die "loadgen: --max-restarts > 0 restores shards from their journals; \
-         add --journal PATH"
-  | _ -> ());
+  check_supervision supervise ~sharded:(shards <> None)
+    ~journaled:(journal <> None);
   let algorithm = resolve_algorithm algo_name in
-  let deadline = resolve_deadline deadline_s fallback_name in
   let instance = Ltc_core.Serialize.load_instance ~path:load in
   let workers = instance.Ltc_core.Instance.workers in
   if Array.length workers = 0 then
@@ -1188,47 +1132,6 @@ let loadgen_cmd_impl load algo_name seed accept_rate journal checkpoint_every
   0
 
 let loadgen_cmd =
-  let load =
-    Arg.(required & opt (some string) None
-         & info [ "load" ] ~docv:"FILE"
-             ~doc:"Instance file written by $(b,ltc generate); its embedded \
-                   workers are the arrival stream, in index order.")
-  in
-  let algo =
-    Arg.(required & opt (some string) None
-         & info [ "algorithm"; "a" ] ~docv:"NAME"
-             ~doc:"Online algorithm under load.")
-  in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows with probability 1-$(docv), exactly as \
-                   $(b,ltc serve).")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Journal the session to $(docv) while under load, so the \
-                   report includes journal I/O and per-arrival journal \
-                   bytes.")
-  in
-  let checkpoint_every =
-    Arg.(value & opt int 256
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Compact the journal every $(docv) events.")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-arrival solve budget; decisions whose (injected) \
-                   service time overruns it degrade to the fallback.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Deadline fallback algorithm (default Nearest).  \
-                   Requires --deadline.")
-  in
   let shape =
     Arg.(value & opt string "constant"
          & info [ "shape" ] ~docv:"SPEC"
@@ -1309,9 +1212,9 @@ let loadgen_cmd =
        ~doc:"drive a session open-loop with shaped traffic and report SLO \
              latency quantiles")
     Term.(
-      const loadgen_cmd_impl $ load $ algo $ seed_arg $ accept_rate $ journal
-      $ checkpoint_every $ journal_format_arg $ group_commit_arg $ shards_arg
-      $ mailbox_arg $ max_restarts_arg $ overload_arg $ deadline $ fallback
+      const loadgen_cmd_impl $ workers_instance_arg $ algorithm_arg $ seed_arg
+      $ accept_rate_arg $ journal_arg $ checkpoint_every_arg 256
+      $ journal_format_arg $ group_commit_arg $ sharding_term $ deadline_term
       $ shape $ rate $ arrivals
       $ service_mean $ service_dist $ timing $ poisson $ slo $ flight_out
       $ flight_capacity $ trace_out $ log_arg $ metrics_arg
@@ -1326,17 +1229,16 @@ let loadgen_cmd =
 let chaos_cmd =
   let impl load algo_name seed accept_rate fault_seed crashes io_errors
       torn_writes delays horizon checkpoint_every journal journal_format
-      group_commit shards max_restarts deadline_s fallback_name log_levels =
+      group_commit shards max_restarts deadline log_levels =
     setup_observability ~verbose:false ~log_levels ~metrics:None;
     let algorithm = resolve_algorithm algo_name in
-    let deadline = resolve_deadline deadline_s fallback_name in
     let instance = Ltc_core.Serialize.load_instance ~path:load in
     match shards with
     | Some shards ->
       (* Sharded chaos: a supervised [`Domains] server under per-shard
          scoped faults, diffed against the inline unsupervised baseline.
          Runs deadline-free — see Chaos.run_sharded. *)
-      if deadline_s <> None || fallback_name <> None then
+      if deadline <> None then
         die "chaos --shards runs deadline-free; drop --deadline/--fallback";
       let plan =
         Ltc_service.Chaos.sharded_plan ~crashes ~io_errors ~torn_writes
@@ -1457,23 +1359,6 @@ let chaos_cmd =
       1
     end
   in
-  let load =
-    Arg.(required & opt (some string) None
-         & info [ "load" ] ~docv:"FILE"
-             ~doc:"Instance file written by $(b,ltc generate); its \
-                   embedded workers are the arrival stream.")
-  in
-  let algo =
-    Arg.(required & opt (some string) None
-         & info [ "algorithm"; "a" ] ~docv:"NAME"
-             ~doc:"Online algorithm under test.")
-  in
-  let accept_rate =
-    Arg.(value & opt (some float) None
-         & info [ "accept-rate" ] ~docv:"Q"
-             ~doc:"Simulate no-shows with probability 1-$(docv), exactly \
-                   as $(b,ltc serve).")
-  in
   let fault_seed =
     Arg.(value & opt int 11
          & info [ "fault-seed" ] ~docv:"N"
@@ -1495,29 +1380,11 @@ let chaos_cmd =
     n_of "horizon" ~default:30
       "Faults fire within the first N visits of their site."
   in
-  let checkpoint_every =
-    n_of "checkpoint-every" ~default:8
-      "Compact the journal every N events (small values exercise the \
-       compaction fault sites)."
-  in
   let journal =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
              ~doc:"Journal path for the chaos run (default: a temp file, \
                    deleted afterwards).")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Enable deadline degradation during the runs.  Injected \
-                   delays then change decisions (in both runs alike), and \
-                   byte-identity is only guaranteed while no crash forces \
-                   an arrival to be re-decided.")
-  in
-  let fallback =
-    Arg.(value & opt (some string) None
-         & info [ "fallback" ] ~docv:"NAME"
-             ~doc:"Deadline fallback algorithm (default Nearest).")
   in
   let shards =
     Arg.(value & opt (some int) None
@@ -1539,12 +1406,23 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"replay a workload under scripted faults and verify the \
-             decision stream survives kill/restore byte-identically")
+             decision stream survives kill/restore byte-identically"
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "With $(b,--deadline), injected delays change decisions (in \
+              both runs alike), and byte-identity is only guaranteed while \
+              no crash forces an arrival to be re-decided.  A small \
+              $(b,--checkpoint-every) exercises the compaction fault \
+              sites.";
+         ])
     Term.(
-      const impl $ load $ algo $ seed_arg $ accept_rate $ fault_seed
-      $ crashes $ io_errors $ torn_writes $ delays $ horizon
-      $ checkpoint_every $ journal $ journal_format_arg $ group_commit_arg
-      $ shards $ max_restarts $ deadline $ fallback $ log_arg)
+      const impl $ workers_instance_arg $ algorithm_arg $ seed_arg
+      $ accept_rate_arg $ fault_seed $ crashes $ io_errors $ torn_writes
+      $ delays $ horizon $ checkpoint_every_arg 8 $ journal
+      $ journal_format_arg $ group_commit_arg $ shards $ max_restarts
+      $ deadline_term $ log_arg)
 
 (* -------------------------------------------------------- journal command *)
 
@@ -1745,13 +1623,11 @@ let journal_cmd =
 
 let solvers_cmd =
   let impl () =
-    Format.printf "%-12s %-12s %-11s %s@." "NAME" "INCREMENTAL"
-      "POTENTIALS" "ANYTIME";
+    Format.printf "%-12s %s@." "NAME" "INCREMENTAL";
     List.iter
       (fun (c : Ltc_flow.Solver.capabilities) ->
-        Format.printf "%-12s %-12b %-11b %b@." c.Ltc_flow.Solver.solver_name
-          c.Ltc_flow.Solver.incremental c.Ltc_flow.Solver.potentials
-          c.Ltc_flow.Solver.anytime)
+        Format.printf "%-12s %b@." c.Ltc_flow.Solver.solver_name
+          c.Ltc_flow.Solver.incremental)
       (Ltc_flow.Solver.all_capabilities ());
     0
   in

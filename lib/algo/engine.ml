@@ -111,7 +111,8 @@ let drive ~name ~answered ?tracker ?degrade policy instance =
   let degrade =
     Option.map
       (fun d ->
-        if d.budget_s <= 0.0 then
+        (* Written as the positive range so that NaN is rejected too. *)
+        if not (d.budget_s > 0.0) then
           invalid_arg "Engine.run: deadline budget must be > 0";
         (d, d.fallback instance tracker progress,
          degraded_counter name d.fallback_name))
@@ -234,7 +235,7 @@ let answered_of ~accept_rate ~rng =
   match accept_rate with
   | None -> fun _ _ -> true
   | Some q ->
-    if q <= 0.0 || q > 1.0 then
+    if not (q > 0.0 && q <= 1.0) then
       invalid_arg "Engine.run: accept_rate must be in (0, 1]";
     (match rng with
     | None -> invalid_arg "Engine.run: accept_rate requires an rng"

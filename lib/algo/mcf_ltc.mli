@@ -32,24 +32,13 @@ val name : string
 type config = {
   first_batch_factor : float;  (** paper: 1.5 *)
   batch_factor : float;        (** paper: 1.0 *)
-  warm_start : bool;
-      (** Seed each batch's potentials from the previous batch's finals
-          (task nodes are the stable identities; validated and fallen back
-          to Bellman-Ford by {!Ltc_flow.Mcmf.run}).  Default [false]: an
-          {e accepted} warm start can legitimately resolve sub-epsilon
-          cost ties along a different path, and for [|W| > 50] the
-          {!tie_cost} gap between adjacent workers is below the solver
-          epsilon — so warm starts trade exact tie-break reproducibility
-          for speed.  The [flow-batch-reuse] bench prices that trade.
-          Only honoured by backends whose
-          {!Ltc_flow.Solver.capabilities} report [potentials] (SSPA). *)
   solver : string;
       (** {!Ltc_flow.Solver} registry name selecting the per-batch flow
-          backend: ["sspa"] (default), ["spfa"], or ["incremental"] — the
-          session solver that keeps the residual network and potentials
-          alive across batches and re-dimensions only the tasks whose
-          progress changed.  All backends produce the same arrangement up
-          to sub-epsilon cost ties. *)
+          backend: ["sspa"] (default) or ["incremental"] — the session
+          solver that keeps the residual network and potentials alive
+          across batches and re-dimensions only the tasks whose progress
+          changed.  Both produce the same arrangement up to sub-epsilon
+          cost ties. *)
   budget : Ltc_flow.Mcmf.budget option;
       (** Anytime cutoff handed to every batch solve.  [None] (default)
           solves each batch exactly.  When the budget fires, the partial

@@ -51,10 +51,9 @@ type budget =
 (** {2 Reusable workspace} *)
 
 type workspace
-(** Solver scratch: potentials, labels, heap, and the queue/counter arrays
-    {!Mcmf_spfa} shares.  One workspace serves any sequence of solves (its
-    arrays grow on demand and never shrink); it must not be shared between
-    concurrently running solves. *)
+(** Solver scratch: potentials, labels and heap.  One workspace serves any
+    sequence of solves (its arrays grow on demand and never shrink); it
+    must not be shared between concurrently running solves. *)
 
 val create_workspace : ?hint:int -> unit -> workspace
 (** An empty workspace, pre-sized for graphs of [hint] nodes (default 16;
@@ -63,20 +62,16 @@ val create_workspace : ?hint:int -> unit -> workspace
 val workspace_capacity : workspace -> int
 (** Current node capacity of the workspace arrays. *)
 
+val ensure_workspace : workspace -> n:int -> unit
+(** Grow the workspace to hold at least [n] nodes, keeping its contents. *)
+
 val borrow_potentials : workspace -> float array
 (** The workspace's {e live} node-potential array — a borrow, not a copy.
     After {!run} returns, entries [0 .. node_count - 1] hold the final
-    potentials of that solve, which the next solve may reuse via
-    [`Warm_start] (or keep alive via [`Keep]).  The borrow is invalidated
-    by the next solve: the array is overwritten, and {e replaced entirely}
-    when the workspace grows — a caller holding the old array would then
-    silently read stale values.  Read or copy what you need before solving
-    again; use {!copy_potentials} to keep values across solves. *)
-
-val copy_potentials : workspace -> n:int -> float array
-(** [copy_potentials ws ~n] is a fresh copy of the first [n] potentials —
-    safe to hold across later solves, unlike {!borrow_potentials}.
-    @raise Invalid_argument when [n] exceeds {!workspace_capacity}. *)
+    potentials of that solve; the incremental session ({!Solver}) repairs
+    them in place between [`Keep] solves.  The borrow is invalidated by
+    the next solve, and the array is {e replaced} when the workspace
+    grows. *)
 
 (** {2 Potential initialisation} *)
 
@@ -94,16 +89,6 @@ type potential_init =
         cost, same potentials, same flow, same cost.  On a graph violating
         the precondition the potentials are silently non-optimal and the
         min-cost guarantee is lost. *)
-  | `Warm_start of float array
-    (** Candidate potentials (length >= node count), e.g. {!potentials} of
-        a structurally similar previous solve.  Validated in one O(E)
-        reduced-cost scan: accepted when every residual arc keeps
-        non-negative reduced cost (within epsilon), otherwise the solver
-        falls back to [`Bellman_ford].  Results are min-cost either way,
-        but an accepted warm start may resolve sub-epsilon cost ties along
-        a different shortest path than the fresh-init solve would.
-        @raise Invalid_argument when the array is shorter than the node
-        count. *)
   | `Keep
     (** Trust the workspace potentials exactly as the caller maintained
         them — no initialisation, no validation scan.  This is the
@@ -121,7 +106,6 @@ type potential_init =
 
 val run :
   ?max_flow:int ->
-  ?stop_on_nonnegative:bool ->
   ?workspace:workspace ->
   ?init:potential_init ->
   ?budget:budget ->
@@ -133,10 +117,7 @@ val run :
     sink is unreachable (a {e maximum} flow of minimum cost), mutating [g]'s
     residual capacities; read per-arc results with {!Graph.flow}.
 
-    [max_flow] caps the total units routed.  [stop_on_nonnegative] (default
-    [false]) additionally stops when the cheapest augmenting path has cost
-    [>= 0], yielding a {e minimum-cost} flow instead (never routes
-    cost-increasing flow).
+    [max_flow] caps the total units routed.
 
     [workspace] supplies the per-solve scratch; without it a fresh one is
     allocated for this call.  [init] selects the potential initialiser
@@ -147,22 +128,3 @@ val run :
 
     @raise Invalid_argument when [source = sink], nodes are out of range,
     or the budget is negative. *)
-
-(**/**)
-
-(* Solver-internal plumbing: {!Mcmf_spfa} shares this workspace (distance /
-   predecessor / stamp labels, its FIFO ring and relaxation counters).  Not
-   part of the public API. *)
-
-val ensure_workspace : workspace -> n:int -> unit
-val ensure_spfa_scratch : workspace -> n:int -> unit
-val ws_dist : workspace -> float array
-val ws_pred : workspace -> int array
-val ws_stamp : workspace -> int array
-val ws_flag : workspace -> Bytes.t
-val ws_ring : workspace -> int array
-val ws_counts : workspace -> int array
-val ws_epoch : workspace -> int
-val ws_set_epoch : workspace -> int -> unit
-
-(**/**)

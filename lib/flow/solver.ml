@@ -1,8 +1,6 @@
 type capabilities = {
   solver_name : string;
   incremental : bool;
-  potentials : bool;
-  anytime : bool;
 }
 
 (* The incremental session keeps one residual network alive across batches:
@@ -43,7 +41,6 @@ type session = {
 
 type impl =
   | Scratch_sspa of Mcmf.workspace
-  | Scratch_spfa of Mcmf.workspace
   | Incremental of session
 
 type t = {
@@ -54,19 +51,9 @@ type t = {
 let source = 0
 let sink = 1
 
-let caps_sspa =
-  { solver_name = "sspa"; incremental = false; potentials = true;
-    anytime = true }
-
-let caps_spfa =
-  { solver_name = "spfa"; incremental = false; potentials = false;
-    anytime = true }
-
-let caps_incremental =
-  { solver_name = "incremental"; incremental = true; potentials = false;
-    anytime = true }
-
-let registry = [ caps_sspa; caps_spfa; caps_incremental ]
+let caps_sspa = { solver_name = "sspa"; incremental = false }
+let caps_incremental = { solver_name = "incremental"; incremental = true }
+let registry = [ caps_sspa; caps_incremental ]
 let names () = List.map (fun c -> c.solver_name) registry
 let all_capabilities () = registry
 
@@ -102,8 +89,6 @@ let create ?(hint = 16) name =
   match String.lowercase_ascii name with
   | "sspa" ->
     { caps = caps_sspa; impl = Scratch_sspa (Mcmf.create_workspace ~hint ()) }
-  | "spfa" ->
-    { caps = caps_spfa; impl = Scratch_spfa (Mcmf.create_workspace ~hint ()) }
   | "incremental" ->
     { caps = caps_incremental; impl = Incremental (create_session ~hint) }
   | other ->
@@ -114,27 +99,18 @@ let create ?(hint = 16) name =
 let name t = t.caps.solver_name
 let capabilities t = t.caps
 
-let borrow_potentials t =
-  match t.impl with
-  | Scratch_sspa ws | Scratch_spfa ws -> Mcmf.borrow_potentials ws
-  | Incremental s -> Mcmf.borrow_potentials s.sws
-
 let memory_words t =
   match t.impl with
-  | Scratch_sspa _ | Scratch_spfa _ -> 0
+  | Scratch_sspa _ -> 0
   | Incremental s ->
     Graph.memory_words s.sg
     + (8 * Graph.node_count s.sg)
     + (2 * Array.length s.unit_node)
 
-let solve t ?max_flow ?stop_on_nonnegative ?init ?budget g ~source ~sink =
+let solve t ?max_flow ?init ?budget g ~source ~sink =
   match t.impl with
   | Scratch_sspa ws ->
-    Mcmf.run ?max_flow ?stop_on_nonnegative ~workspace:ws ?init ?budget g
-      ~source ~sink
-  | Scratch_spfa ws ->
-    Mcmf_spfa.run ?max_flow ?stop_on_nonnegative ~workspace:ws ?budget g
-      ~source ~sink
+    Mcmf.run ?max_flow ~workspace:ws ?init ?budget g ~source ~sink
   | Incremental _ ->
     invalid_arg
       "Solver.solve: the incremental solver keeps live session state; use \
@@ -145,7 +121,7 @@ let solve t ?max_flow ?stop_on_nonnegative ?init ?budget g ~source ~sink =
 let session t op =
   match t.impl with
   | Incremental s -> s
-  | Scratch_sspa _ | Scratch_spfa _ ->
+  | Scratch_sspa _ ->
     invalid_arg
       (Printf.sprintf "Solver.%s: %S is not an incremental solver" op
          t.caps.solver_name)

@@ -1,17 +1,16 @@
 (** Pluggable min-cost-flow solver backends behind one first-class
     interface.
 
-    Before this module, every caller hard-wired a backend: [Mcmf.run] here,
-    [Mcmf_spfa.run] there, each with its own [potential_init] plumbing.  A
-    {!t} instead bundles a named backend with its reusable workspace, and a
+    A {!t} bundles a named backend with its reusable workspace, and a
     name-keyed registry (mirroring [Ltc_algo.Algorithm]) lets callers —
-    MCF-LTC's config, the CLI, benches — select SSPA, SPFA or the
-    incremental session solver without code changes.  Future backends
-    (cost-scaling, bucket-Dijkstra) plug in by adding a registry entry.
+    MCF-LTC's config, the CLI, benches — select the from-scratch SSPA
+    solver or the incremental session solver without code changes.  Future
+    backends (primal-dual, cost-scaling) plug in by adding a registry
+    entry.
 
     Two protocols, discriminated by {!capabilities}:
 
-    - {b Scratch} ([sspa], [spfa]): the caller builds a {!Graph.t} per
+    - {b Scratch} ([sspa]): the caller builds a {!Graph.t} per
       problem and calls {!solve}; the instance only carries the reused
       workspace.
     - {b Incremental} ([incremental]): the instance owns a persistent
@@ -28,10 +27,6 @@ type capabilities = {
   incremental : bool;
       (** supports the session protocol ({!set_unit} .. {!end_batch});
           when [false] those calls raise and {!solve} is the entry point *)
-  potentials : bool;
-      (** honours {!Mcmf.potential_init} hints passed to {!solve} (SSPA);
-          backends without potentials ignore [init] *)
-  anytime : bool;  (** honours an {!Mcmf.budget} cutoff *)
 }
 
 type t
@@ -40,8 +35,7 @@ type t
     per concurrent run. *)
 
 val names : unit -> string list
-(** Registered backend names, registry order: [["sspa"; "spfa";
-    "incremental"]]. *)
+(** Registered backend names, registry order: [["sspa"; "incremental"]]. *)
 
 val all_capabilities : unit -> capabilities list
 (** Capability records of every registered backend, registry order. *)
@@ -54,13 +48,6 @@ val create : ?hint:int -> string -> t
 val name : t -> string
 val capabilities : t -> capabilities
 
-val borrow_potentials : t -> float array
-(** The backend workspace's live potential array, with exactly the
-    {!Mcmf.borrow_potentials} caveats (overwritten by the next
-    solve/resolve, replaced when the workspace grows).  Meaningful after a
-    solve on a potential-maintaining backend (SSPA warm starts) or on the
-    incremental session (whose potentials are always live). *)
-
 val memory_words : t -> int
 (** Approximate footprint of solver-owned persistent state: the
     incremental session's residual network and unit maps (for memory
@@ -70,7 +57,6 @@ val memory_words : t -> int
 val solve :
   t ->
   ?max_flow:int ->
-  ?stop_on_nonnegative:bool ->
   ?init:Mcmf.potential_init ->
   ?budget:Mcmf.budget ->
   Graph.t ->
@@ -78,8 +64,7 @@ val solve :
   sink:int ->
   Mcmf.result
 (** One from-scratch solve over a caller-built graph, with the contract of
-    {!Mcmf.run}.  [init] is honoured only when [capabilities.potentials];
-    SPFA ignores it.  @raise Invalid_argument on an incremental instance —
+    {!Mcmf.run}.  @raise Invalid_argument on an incremental instance —
     a session's potentials must never be clobbered by a scratch solve; use
     {!resolve}. *)
 

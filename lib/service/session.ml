@@ -419,7 +419,8 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
   (match deadline with
   | None -> ()
   | Some d ->
-    if d.budget_s <= 0.0 then
+    (* Positive ranges throughout, so NaN fails the check. *)
+    if not (d.budget_s > 0.0) then
       invalid_arg "Session: deadline budget must be > 0";
     let (_ : Ltc_util.Rng.t -> Ltc_algo.Engine.policy) =
       policy_of d.fallback "as a deadline fallback"
@@ -476,9 +477,9 @@ let make_session ~instance ~algorithm ~seed ~accept_rate ~deadline
     feed_hdr = Ltc_util.Metrics.Hdr.create ();
   }
 
-let validate_accept_rate = function
-  | Some q when q <= 0.0 || q > 1.0 ->
-    invalid_arg "Session.create: accept_rate must be in (0, 1]"
+let validate_accept_rate ~who = function
+  | Some q when not (q > 0.0 && q <= 1.0) ->
+    invalid_arg (who ^ ": accept_rate must be in (0, 1]")
   | _ -> ()
 
 let attach_journal t ~path ~checkpoint_every ~fsync ~codec ~group_commit =
@@ -517,7 +518,7 @@ let attach_journal t ~path ~checkpoint_every ~fsync ~codec ~group_commit =
 let create ?accept_rate ?deadline ?(on_decision = fun _ -> ()) ?journal
     ?(checkpoint_every = 256) ?(fsync = false) ?(format = Text)
     ?(group_commit = 1) ~algorithm ~seed instance =
-  validate_accept_rate accept_rate;
+  validate_accept_rate ~who:"Session.create" accept_rate;
   if checkpoint_every < 1 then
     invalid_arg "Session.create: checkpoint_every must be >= 1";
   if group_commit < 1 then
@@ -1038,6 +1039,7 @@ let restore ?(on_decision = fun _ -> ()) ?journal ?(fsync = false)
   in
   let t =
     try
+      validate_accept_rate ~who:"Session.restore" header.h_accept_rate;
       make_session ~instance ~algorithm ~seed:header.h_seed
         ~accept_rate:header.h_accept_rate ~deadline ~on_decision ~policy_rng
         ~noshow_rng ~progress ~arrangement ~consumed

@@ -124,6 +124,12 @@ type shard = {
   mutable sh_globals : int array;
   mutable sh_local_fed : int;  (* local arrivals routed (live + skipped) *)
   mutable sh_skip : int;  (* restored arrivals still to skip on re-feed *)
+  sh_prefix : int;  (* arrivals in the restored journal (0 when fresh) *)
+  sh_prefix_done : bool;
+      (* the restored journal already completes the shard: the merge layer
+         marks it complete when the skip of local arrival [sh_prefix] is
+         released, not at restore, so global completion lands at the same
+         arrival as in the interrupted run *)
   sh_recruited : (int, unit) Hashtbl.t;
       (* local arrival indices that answered in a previous incarnation
          (rebuilt from the restored arrangement; empty on fresh create) *)
@@ -170,6 +176,7 @@ type t = {
   mutable t_fed : int;  (* global arrivals accepted by [feed] *)
   mutable t_consumed : int;
   mutable t_replayed : int;
+  mutable t_skips_left : int;  (* restored arrivals not yet re-fed *)
   mutable t_latency : int;
   mutable t_incomplete : int;  (* shards not yet complete *)
   mutable t_pool : msg Ltc_util.Pool.Workers.t option;
@@ -474,8 +481,10 @@ let make_shard ~session ~tasks_globals ~restored ~supervised ~captured =
     sh_globals = Array.make (max 16 skip) 0;
     sh_local_fed = 0;
     sh_skip = skip;
+    sh_prefix = skip;
+    sh_prefix_done = restored && Session.completed session;
     sh_recruited = recruited;
-    sh_complete = Session.completed session;
+    sh_complete = Session.completed session && skip = 0;
     sh_arrivals = (if supervised then Array.make (max 16 skip) None else [||]);
     sh_captured = captured;
     sh_decided = 0;
@@ -537,6 +546,7 @@ let build ~mode ~mailbox ~part ~algorithm ~super ~journal ~fsync ~group_commit
       t_fed = 0;
       t_consumed = 0;
       t_replayed = 0;
+      t_skips_left = resumed;
       t_latency = 0;
       t_incomplete = incomplete;
       t_pool = None;
@@ -722,7 +732,12 @@ let release t =
         t.t_consumed <- t.t_consumed + 1;
         t.t_replayed <- t.t_replayed + 1;
         if Hashtbl.mem sh.sh_recruited local then
-          t.t_latency <- max t.t_latency g
+          t.t_latency <- max t.t_latency g;
+        if sh.sh_prefix_done && local = sh.sh_prefix && not sh.sh_complete
+        then begin
+          sh.sh_complete <- true;
+          t.t_incomplete <- t.t_incomplete - 1
+        end
       | P_dead _ ->
         (* Shed, or owned by a quarantined shard: an explicit unassigned
            degraded ack.  Nothing was consumed and the shard's tasks stay
@@ -912,6 +927,15 @@ let feed t (w : Worker.t) =
     if sh.sh_skip > 0 then begin
       let local = route t sh g w in
       sh.sh_skip <- sh.sh_skip - 1;
+      t.t_skips_left <- t.t_skips_left - 1;
+      add_entry t sh ~local g (P_skip (k, local))
+    end
+    else if t.t_skips_left > 0 && sh.sh_prefix_done then begin
+      (* A later restored arrival is still to come, so the interrupted
+         run fed this one too — to a shard its journal shows complete,
+         which acknowledged it without journaling.  Replay it like a skip
+         rather than acknowledging it a second time. *)
+      let local = route t sh g w in
       add_entry t sh ~local g (P_skip (k, local))
     end
     else if sh.sh_quarantined then

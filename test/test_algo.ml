@@ -351,11 +351,11 @@ let test_mcf_solver_backends () =
             (Printf.sprintf "%s assignments (seed %d)" solver seed)
             (Arrangement.size base.Engine.arrangement)
             (Arrangement.size o.Engine.arrangement))
-        [ "spfa"; "incremental" ])
+        [ "incremental" ])
     [ 8; 21 ];
   Alcotest.check_raises "unknown solver name surfaces"
     (Invalid_argument
-       "Solver.create: unknown solver \"simplex\" (try: sspa, spfa, \
+       "Solver.create: unknown solver \"simplex\" (try: sspa, \
         incremental)") (fun () ->
       ignore
         (Mcf_ltc.run
@@ -635,6 +635,12 @@ let test_noshow_invalid_rate () =
       ignore
         (Engine.run
            ~config:(noshow_config ~accept_rate:0.0 ~seed:1)
+           ~name:"x" Laf.policy i));
+  Alcotest.check_raises "rate nan"
+    (Invalid_argument "Engine.run: accept_rate must be in (0, 1]") (fun () ->
+      ignore
+        (Engine.run
+           ~config:(noshow_config ~accept_rate:Float.nan ~seed:1)
            ~name:"x" Laf.policy i));
   Alcotest.check_raises "rate without rng"
     (Invalid_argument "Engine.run: accept_rate requires an rng") (fun () ->

@@ -150,15 +150,6 @@ let test_mcmf_max_flow_cap () =
   Alcotest.(check int) "capped" 4 r.Mcmf.flow;
   check_float "cost" 4.0 r.Mcmf.cost
 
-let test_mcmf_stop_on_nonnegative () =
-  let g = Graph.create ~n:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:(-2.0));
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:3.0);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:2 ~cost:0.0);
-  let r = Mcmf.run ~stop_on_nonnegative:true g ~source:0 ~sink:2 in
-  Alcotest.(check int) "only profitable unit" 1 r.Mcmf.flow;
-  check_float "cost" (-2.0) r.Mcmf.cost
-
 let test_mcmf_disconnected () =
   let g = Graph.create ~n:3 in
   ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:1.0);
@@ -276,7 +267,7 @@ let prop_mcmf_flow_conservation =
       done;
       !ok)
 
-(* ------------------------------------------------------------- Mcmf_spfa *)
+(* --------------------------------------------------- SPFA oracle (test/) *)
 
 let random_bipartite_gen =
   QCheck2.Gen.(
@@ -317,7 +308,7 @@ let prop_spfa_agrees_with_sspa =
       let g1, source, sink = build_bipartite input in
       let g2, _, _ = build_bipartite input in
       let r1 = Mcmf.run g1 ~source ~sink in
-      let r2 = Mcmf_spfa.run g2 ~source ~sink in
+      let r2 = Spfa_oracle.run g2 ~source ~sink in
       r1.Mcmf.flow = r2.Mcmf.flow
       && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
 
@@ -327,7 +318,7 @@ let test_spfa_negative_costs () =
   ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:(-0.9));
   ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:(-0.4));
   ignore (Graph.add_arc g ~src:2 ~dst:3 ~cap:1 ~cost:0.0);
-  let r = Mcmf_spfa.run g ~source:0 ~sink:3 in
+  let r = Spfa_oracle.run g ~source:0 ~sink:3 in
   Alcotest.(check int) "one unit" 1 r.Mcmf.flow;
   check_float "min cost" (-0.9) r.Mcmf.cost
 
@@ -373,7 +364,7 @@ let prop_spfa_agrees_on_general_graphs =
       let g1 = build_general input in
       let g2 = build_general input in
       let r1 = Mcmf.run g1 ~source:0 ~sink:(n - 1) in
-      let r2 = Mcmf_spfa.run g2 ~source:0 ~sink:(n - 1) in
+      let r2 = Spfa_oracle.run g2 ~source:0 ~sink:(n - 1) in
       r1.Mcmf.flow = r2.Mcmf.flow
       && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
 
@@ -469,15 +460,6 @@ let test_workspace_growth () =
   Alcotest.(check int) "flow stable across reuse" r1.Mcmf.flow r2.Mcmf.flow;
   check_float "cost stable across reuse" r1.Mcmf.cost r2.Mcmf.cost
 
-let test_warm_start_invalid () =
-  let g = Graph.create ~n:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:0.0);
-  Alcotest.check_raises "short candidate"
-    (Invalid_argument "Mcmf.run: warm-start potentials shorter than node count")
-    (fun () ->
-      ignore (Mcmf.run g ~init:(`Warm_start [| 0.0 |]) ~source:0 ~sink:2))
-
 (* One workspace shared across every generated case: reuse itself is under
    test.  Exact (=) float comparisons are deliberate — the reused/DAG path
    must be bit-identical to the cold Bellman-Ford path on batch-shaped
@@ -513,35 +495,6 @@ let prop_dag_init_same_potentials =
         if p1.(v) <> p2.(v) then ok := false
       done;
       !ok)
-
-let prop_warm_start_agrees =
-  QCheck2.Test.make
-    ~name:"warm-started solve = fresh solve (accept or fallback)" ~count:300
-    random_bipartite_gen (fun input ->
-      let g1, source, sink = build_bipartite input in
-      let g2, _, _ = build_bipartite input in
-      let g3, _, _ = build_bipartite input in
-      let n = Graph.node_count g1 in
-      let ws = Mcmf.create_workspace () in
-      (* Final potentials of a completed identical solve: valid on the
-         solved residual, not necessarily on the fresh graph — exercises
-         both the accept and the reject-and-fall-back paths. *)
-      ignore (Mcmf.run g3 ~workspace:ws ~source ~sink);
-      let cand = Array.sub (Mcmf.borrow_potentials ws) 0 n in
-      let r1 = Mcmf.run g1 ~source ~sink in
-      let r2 = Mcmf.run g2 ~workspace:ws ~init:(`Warm_start cand) ~source ~sink in
-      r1.Mcmf.flow = r2.Mcmf.flow
-      && Float.abs (r1.Mcmf.cost -. r2.Mcmf.cost) < 1e-6)
-
-let prop_spfa_workspace_reuse =
-  let ws = Mcmf.create_workspace () in
-  QCheck2.Test.make ~name:"SPFA with reused workspace = fresh SPFA, exactly"
-    ~count:300 random_bipartite_gen (fun input ->
-      let g1, source, sink = build_bipartite input in
-      let g2, _, _ = build_bipartite input in
-      let r1 = Mcmf_spfa.run g1 ~source ~sink in
-      let r2 = Mcmf_spfa.run g2 ~workspace:ws ~source ~sink in
-      r1.Mcmf.flow = r2.Mcmf.flow && r1.Mcmf.cost = r2.Mcmf.cost)
 
 (* ---------------------------------------------------------------- Solver *)
 
@@ -591,27 +544,6 @@ let test_graph_set_capacity () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Graph.set_capacity: negative capacity") (fun () ->
       Graph.set_capacity g a (-1))
-
-let test_copy_potentials () =
-  let input =
-    (2, 2, 1, 1, [| [| -0.5; -0.2 |]; [| -0.1; -0.8 |] |])
-  in
-  let g, source, sink = build_bipartite input in
-  let ws = Mcmf.create_workspace () in
-  ignore (Mcmf.run g ~workspace:ws ~source ~sink);
-  let n = Graph.node_count g in
-  let copy = Mcmf.copy_potentials ws ~n in
-  let live = Mcmf.borrow_potentials ws in
-  Alcotest.(check int) "length" n (Array.length copy);
-  for v = 0 to n - 1 do
-    Alcotest.(check (float 0.0)) "snapshot matches live" live.(v) copy.(v)
-  done;
-  (* The copy is detached: mutating it leaves the workspace unchanged. *)
-  copy.(0) <- 42.0;
-  Alcotest.(check bool) "detached" true (live.(0) <> 42.0);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Mcmf.copy_potentials: n out of range") (fun () ->
-      ignore (Mcmf.copy_potentials ws ~n:(Array.length live + 1)))
 
 let test_budget_validation () =
   let g = Graph.create ~n:2 in
@@ -677,13 +609,10 @@ let prop_anytime_prefix_optimal =
 let test_solver_registry () =
   Alcotest.(check (list string))
     "registry order"
-    [ "sspa"; "spfa"; "incremental" ]
+    [ "sspa"; "incremental" ]
     (Solver.names ());
   let caps name = Solver.capabilities (Solver.create name) in
-  Alcotest.(check bool) "sspa potentials" true (caps "sspa").Solver.potentials;
   Alcotest.(check bool) "sspa scratch" false (caps "sspa").Solver.incremental;
-  Alcotest.(check bool) "spfa no potentials" false
-    (caps "spfa").Solver.potentials;
   Alcotest.(check bool) "incremental" true
     (caps "incremental").Solver.incremental;
   Alcotest.(check string) "case insensitive" "sspa"
@@ -693,7 +622,7 @@ let test_solver_registry () =
     (List.length (Solver.all_capabilities ()));
   Alcotest.check_raises "unknown solver"
     (Invalid_argument
-       "Solver.create: unknown solver \"simplex\" (try: sspa, spfa, \
+       "Solver.create: unknown solver \"simplex\" (try: sspa, \
         incremental)") (fun () -> ignore (Solver.create "simplex"))
 
 let test_solver_scratch_backends () =
@@ -705,11 +634,10 @@ let test_solver_scratch_backends () =
   let g1, source, sink = build_bipartite input in
   let g2, _, _ = build_bipartite input in
   let sspa = Solver.create "sspa" in
-  let spfa = Solver.create "spfa" in
   let r1 = Solver.solve sspa g1 ~source ~sink in
-  let r2 = Solver.solve spfa g2 ~source ~sink in
-  Alcotest.(check int) "backends agree on flow" r1.Mcmf.flow r2.Mcmf.flow;
-  check_float "backends agree on cost" r1.Mcmf.cost r2.Mcmf.cost;
+  let r2 = Spfa_oracle.run g2 ~source ~sink in
+  Alcotest.(check int) "sspa = oracle flow" r1.Mcmf.flow r2.Mcmf.flow;
+  check_float "sspa = oracle cost" r1.Mcmf.cost r2.Mcmf.cost;
   Alcotest.(check int) "scratch solvers own no graph" 0
     (Solver.memory_words sspa);
   let inc = Solver.create "incremental" in
@@ -879,8 +807,6 @@ let suite =
         Alcotest.test_case "rerouting through residuals" `Quick
           test_mcmf_rerouting;
         Alcotest.test_case "max_flow cap" `Quick test_mcmf_max_flow_cap;
-        Alcotest.test_case "stop on nonnegative" `Quick
-          test_mcmf_stop_on_nonnegative;
         Alcotest.test_case "disconnected" `Quick test_mcmf_disconnected;
         Alcotest.test_case "invalid args" `Quick test_mcmf_invalid;
         qcheck prop_mcmf_matches_brute;
@@ -905,18 +831,13 @@ let suite =
         Alcotest.test_case "graph reserve" `Quick test_graph_reserve;
         Alcotest.test_case "node heap growth" `Quick test_node_heap_grow;
         Alcotest.test_case "workspace growth" `Quick test_workspace_growth;
-        Alcotest.test_case "warm start validation" `Quick
-          test_warm_start_invalid;
         qcheck prop_dag_init_matches_bf;
         qcheck prop_dag_init_same_potentials;
-        qcheck prop_warm_start_agrees;
-        qcheck prop_spfa_workspace_reuse;
       ] );
     ( "flow.anytime",
       [
         Alcotest.test_case "budget validation" `Quick test_budget_validation;
         Alcotest.test_case "round budgets" `Quick test_budget_rounds;
-        Alcotest.test_case "copy potentials" `Quick test_copy_potentials;
         qcheck prop_anytime_prefix_optimal;
       ] );
     ( "flow.solver",

@@ -391,6 +391,50 @@ let test_create_validation () =
       ignore
         (Session.create ~accept_rate:0.0 ~algorithm:Ltc_algo.Algorithm.laf
            ~seed:1 instance));
+  Alcotest.check_raises "accept_rate nan rejected"
+    (Invalid_argument "Session.create: accept_rate must be in (0, 1]")
+    (fun () ->
+      ignore
+        (Session.create ~accept_rate:Float.nan
+           ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance));
+  List.iter
+    (fun budget_s ->
+      Alcotest.check_raises
+        (Printf.sprintf "deadline %g rejected" budget_s)
+        (Invalid_argument "Session: deadline budget must be > 0")
+        (fun () ->
+          ignore
+            (Session.create
+               ~deadline:
+                 { Session.budget_s;
+                   fallback = Ltc_algo.Algorithm.nearest_first }
+               ~algorithm:Ltc_algo.Algorithm.laf ~seed:1 instance)))
+    [ 0.0; Float.nan ];
+  (* A journal header is held to the same ranges on restore. *)
+  List.iter
+    (fun (field, bad) ->
+      with_tmp_journal @@ fun path ->
+      let s =
+        Session.create ~journal:path ~algorithm:Ltc_algo.Algorithm.laf
+          ~seed:1 instance
+      in
+      Session.close s;
+      let lines =
+        In_channel.with_open_text path In_channel.input_lines
+        |> List.map (fun l ->
+               if Astring.String.is_prefix ~affix:(field ^ " ") l then bad
+               else l)
+      in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+      match Session.restore ~path () with
+      | (_ : Session.t) -> Alcotest.failf "restored a header with %S" bad
+      | exception Session.Corrupt_journal { message; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S refused: %s" bad message)
+          true
+          (Astring.String.is_infix ~affix:"must be" message))
+    [ ("accept_rate", "accept_rate nan"); ("deadline", "deadline nan Nearest") ];
   Alcotest.check_raises "checkpoint_every 0 rejected"
     (Invalid_argument "Session.create: checkpoint_every must be >= 1")
     (fun () ->
